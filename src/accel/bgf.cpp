@@ -59,22 +59,18 @@ BoltzmannGradientFollower::trainSample(const float *data)
 void
 BoltzmannGradientFollower::trainSample(const float *data, util::Rng &rng)
 {
-    const std::size_t n = fabric_.numHidden();
-
     // Step 2: the host streams the sample to the visible latches.
-    linalg::Vector v;
-    fabric_.clampVisible(data, v);
+    fabric_.clampVisible(data, v_);
     counters_.bitsToDevice += fabric_.numVisible();
 
     // Step 3: clamp, settle the hidden units; <v h>_{s+} increments W.
     // Sweeps run on the unified sampling surface (the same one chains
     // and batched samplers drive), so the fabric path and the software
     // path stay swappable all the way into the accelerators.
-    linalg::Vector hpos, phScratch;
-    backend_.sampleHidden(v, hpos, phScratch, rng);
+    backend_.sampleHidden(v_, hpos_, ph_, rng);
     ++counters_.fabricSweeps;
     if (config_.midStepUpdates) {
-        fabric_.pumpUpdate(v, hpos, +1, rng);
+        fabric_.pumpUpdate(v_, hpos_, +1, rng);
         ++counters_.pumpPhases;
     }
 
@@ -83,31 +79,29 @@ BoltzmannGradientFollower::trainSample(const float *data, util::Rng &rng)
         // First sample: seed every particle from the current hidden
         // sample perturbed by fresh sweeps.
         for (auto &p : particles_)
-            p = hpos;
+            p = hpos_;
         particlesReady_ = true;
     }
-    linalg::Vector hneg = particles_[nextParticle_];
-    linalg::Vector vneg, pvScratch;
-    backend_.anneal(config_.annealSteps, vneg, hneg, pvScratch,
-                    phScratch, rng);
+    // The particle is swapped out and back in, not copied.
+    std::swap(hneg_, particles_[nextParticle_]);
+    backend_.anneal(config_.annealSteps, vneg_, hneg_, pv_, ph_, rng);
     counters_.fabricSweeps += 2 * static_cast<std::size_t>(
         config_.annealSteps);
 
     // Step 5: <v h>_{s-} decrements W.
     if (!config_.midStepUpdates) {
         // Synchronized ablation: both phases applied under W^t.
-        fabric_.pumpUpdate(v, hpos, +1, rng);
+        fabric_.pumpUpdate(v_, hpos_, +1, rng);
         ++counters_.pumpPhases;
     }
-    fabric_.pumpUpdate(vneg, hneg, -1, rng);
+    fabric_.pumpUpdate(vneg_, hneg_, -1, rng);
     ++counters_.pumpPhases;
 
     // Persist the particle [63].
-    particles_[nextParticle_] = hneg;
+    std::swap(hneg_, particles_[nextParticle_]);
     nextParticle_ = (nextParticle_ + 1) % particles_.size();
 
     ++counters_.samplesProcessed;
-    (void)n;
 }
 
 void

@@ -130,6 +130,9 @@ class BoltzmannGradientFollower
     std::vector<linalg::Vector> particles_; ///< persistent hidden states
     std::size_t nextParticle_ = 0;
     bool particlesReady_ = false;
+
+    // Per-sample state, kept so a sample allocates nothing.
+    linalg::Vector v_, hpos_, hneg_, vneg_, pv_, ph_;
 };
 
 } // namespace ising::accel

@@ -56,6 +56,18 @@ AnalogFabricBackend::sampleVisible(const linalg::Vector &h,
     pv = v;
 }
 
+void
+AnalogFabricBackend::anneal(int steps, linalg::Vector &v, linalg::Vector &h,
+                            linalg::Vector &pv, linalg::Vector &ph,
+                            util::Rng &rng) const
+{
+    if (steps <= 0)
+        return;
+    fabric_->anneal(steps, v, h, rng);
+    pv = v;
+    ph = h;
+}
+
 SamplingBackendKind
 samplingBackendKind(const std::string &name)
 {

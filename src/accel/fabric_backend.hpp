@@ -46,6 +46,14 @@ class AnalogFabricBackend final : public rbm::SamplingBackend
     void sampleVisible(const linalg::Vector &h, linalg::Vector &v,
                        linalg::Vector &pv, util::Rng &rng) const override;
 
+    /**
+     * The fabric's own anneal; the means (the latched bits) are
+     * copied out once at the end instead of after every sweep.
+     */
+    void anneal(int steps, linalg::Vector &v, linalg::Vector &h,
+                linalg::Vector &pv, linalg::Vector &ph,
+                util::Rng &rng) const override;
+
     const machine::AnalogFabric &fabric() const { return *fabric_; }
 
   private:

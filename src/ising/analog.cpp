@@ -8,9 +8,53 @@
 #include <cassert>
 #include <cmath>
 
+#include "linalg/ops.hpp"
 #include "util/math.hpp"
 
 namespace ising::machine {
+
+namespace {
+
+/**
+ * Current summation over an input-major coupler array: every non-zero
+ * input i adds row i of @p w (times its gains) across all outputs.
+ * The coupler current is the circuit's float product, (x * w) * g with
+ * @p kInputFirst (visible inputs) and (w * g) * x otherwise; it is
+ * widened to double before it joins the node sum.  A zero input adds
+ * +-0, which leaves every sum as it was, so it is skipped.
+ */
+template <bool kInputFirst, bool kVaried, bool kNoisy>
+void
+accumulateInputs(const linalg::Vector &in, const linalg::Matrix &w,
+                 const linalg::Matrix *gains, std::vector<double> &actVec,
+                 std::vector<double> &powerVec)
+{
+    const std::size_t n = w.cols();
+    double *act = actVec.data();
+    double *power = powerVec.data();
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+        const float x = in[i];
+        if (x == 0.0f)
+            continue;
+        const float *wrow = w.row(i);
+        const float *grow = kVaried ? gains->row(i) : nullptr;
+        for (std::size_t k = 0; k < n; ++k) {
+            float current;
+            if constexpr (!kVaried)
+                current = x * wrow[k];
+            else if constexpr (kInputFirst)
+                current = x * wrow[k] * grow[k];
+            else
+                current = wrow[k] * grow[k] * x;
+            const double c = current;
+            act[k] += c;
+            if constexpr (kNoisy)
+                power[k] += c * c;
+        }
+    }
+}
+
+} // namespace
 
 AnalogFabric::AnalogFabric(std::size_t numVisible, std::size_t numHidden,
                            const AnalogConfig &config, util::Rng &rng)
@@ -51,7 +95,16 @@ AnalogFabric::AnalogFabric(std::size_t numVisible, std::size_t numHidden,
         c.calibrateOffset(fab);
     for (auto &c : hidComparators_)
         c.calibrateOffset(fab);
+    if (variation_.enabled())
+        linalg::transposeInto(variation_.gains(), gainT_);
+    refreshMirror();
     (void)rng;
+}
+
+void
+AnalogFabric::refreshMirror()
+{
+    linalg::transposeInto(w_, wT_);
 }
 
 void
@@ -74,6 +127,7 @@ AnalogFabric::program(const rbm::Rbm &model)
         bh_[j] = quantize
             ? static_cast<float>(prog.convert(model.hiddenBias()[j]))
             : model.hiddenBias()[j];
+    refreshMirror();
 }
 
 void
@@ -85,6 +139,7 @@ AnalogFabric::restoreRaw(const linalg::Matrix &w, const linalg::Vector &bv,
     w_ = w;
     bv_ = bv;
     bh_ = bh;
+    refreshMirror();
 }
 
 void
@@ -101,70 +156,53 @@ void
 AnalogFabric::sweep(const linalg::Vector &in, linalg::Vector &out,
                     bool visibleToHidden, util::Rng &rng) const
 {
-    const std::size_t m = numVisible(), n = numHidden();
-    const std::size_t outSize = visibleToHidden ? n : m;
+    // The array this direction reads holds one row per input node.
+    const linalg::Matrix &w = visibleToHidden ? w_ : wT_;
+    const linalg::Matrix *gains = !variation_.enabled() ? nullptr
+        : visibleToHidden ? &variation_.gains() : &gainT_;
+    const linalg::Vector &bias = visibleToHidden ? bh_ : bv_;
+    const linalg::Vector &biasVar = visibleToHidden ? biasVarH_ : biasVarV_;
+    const std::size_t outSize = w.cols();
     out.resize(outSize);
 
     const double rmsNoise = config_.noise.rmsNoise;
-    const bool varied = variation_.enabled();
+    const bool noisy = rmsNoise > 0.0;
 
-    // act and actPower (sum of squared per-coupler currents, for the
-    // quadrature noise aggregation) per output node.
-    std::vector<double> act(outSize), power(outSize);
-    if (visibleToHidden) {
-        for (std::size_t j = 0; j < n; ++j) {
-            const double b = bh_[j] * biasVarH_[j];
-            act[j] = b;
-            power[j] = b * b;
-        }
-        for (std::size_t i = 0; i < m; ++i) {
-            const float vi = in[i];
-            if (vi == 0.0f)
-                continue;
-            const float *wrow = w_.row(i);
-            if (varied) {
-                const float *grow = variation_.gains().row(i);
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double c = vi * wrow[j] * grow[j];
-                    act[j] += c;
-                    power[j] += c * c;
-                }
-            } else {
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double c = vi * wrow[j];
-                    act[j] += c;
-                    power[j] += c * c;
-                }
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < m; ++i) {
-            const double b = bv_[i] * biasVarV_[i];
-            const float *wrow = w_.row(i);
-            double acc = 0.0, pow2 = b * b;
-            if (varied) {
-                const float *grow = variation_.gains().row(i);
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double c = wrow[j] * grow[j] * in[j];
-                    acc += c;
-                    pow2 += c * c;
-                }
-            } else {
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double c = wrow[j] * in[j];
-                    acc += c;
-                    pow2 += c * c;
-                }
-            }
-            act[i] = acc + b;
-            power[i] = pow2;
-        }
+    // act and, only when noisy, power (sum of squared per-coupler
+    // currents, for the quadrature noise aggregation) per output node.
+    // Per-thread scratch: one fabric serves concurrent sweeps.
+    static thread_local std::vector<double> act, power;
+    act.resize(outSize);
+    power.resize(noisy ? outSize : 0);
+    for (std::size_t k = 0; k < outSize; ++k) {
+        const double b = bias[k] * biasVar[k];
+        act[k] = visibleToHidden ? b : 0.0;
+        if (noisy)
+            power[k] = b * b;
+    }
+
+    if (!noisy && !gains)
+        accumulateInputs<false, false, false>(in, w, gains, act, power);
+    else if (!noisy && visibleToHidden)
+        accumulateInputs<true, true, false>(in, w, gains, act, power);
+    else if (!noisy)
+        accumulateInputs<false, true, false>(in, w, gains, act, power);
+    else if (!gains)
+        accumulateInputs<false, false, true>(in, w, gains, act, power);
+    else if (visibleToHidden)
+        accumulateInputs<true, true, true>(in, w, gains, act, power);
+    else
+        accumulateInputs<false, true, true>(in, w, gains, act, power);
+
+    if (!visibleToHidden) {
+        for (std::size_t k = 0; k < outSize; ++k)
+            act[k] += bias[k] * biasVar[k];
     }
 
     const auto &comps = visibleToHidden ? hidComparators_ : visComparators_;
     for (std::size_t k = 0; k < outSize; ++k) {
         double a = act[k];
-        if (rmsNoise > 0.0)
+        if (noisy)
             a += rng.gaussian(0.0, rmsNoise * std::sqrt(power[k]));
         const double p = sigmoid_.transfer(a);
         bool bit;
@@ -208,7 +246,9 @@ AnalogFabric::pumpUpdate(const linalg::Vector &v, const linalg::Vector &h,
                          int direction, util::Rng &rng)
 {
     assert(v.size() == numVisible() && h.size() == numHidden());
+    const std::size_t n = numHidden();
     const double rmsNoise = config_.noise.rmsNoise;
+    const bool varied = variation_.enabled();
 
     // Only couplers whose product v_i * h_j fires move charge, so
     // gather the active rows/columns first (both vectors are binary).
@@ -224,13 +264,22 @@ AnalogFabric::pumpUpdate(const linalg::Vector &v, const linalg::Vector &h,
 
     for (const std::size_t i : vOn) {
         float *wrow = w_.row(i);
-        for (const std::size_t j : hOn) {
-            double gain = variation_.gain(i, j);
-            if (rmsNoise > 0.0)
+        if (rmsNoise > 0.0) {
+            // Charge-transfer jitter draws one variate per coupler, in
+            // (i, j) order.
+            for (const std::size_t j : hOn) {
+                double gain = variation_.gain(i, j);
                 gain *= 1.0 + rng.gaussian(0.0, rmsNoise);
-            wrow[j] = static_cast<float>(
-                pump_.apply(wrow[j], direction, gain));
+                wrow[j] = static_cast<float>(
+                    pump_.apply(wrow[j], direction, gain));
+            }
+        } else {
+            pump_.applyRow(wrow,
+                           varied ? variation_.gains().row(i) : nullptr,
+                           h.data(), n, direction);
         }
+        for (const std::size_t j : hOn)
+            wT_(j, i) = wrow[j];
     }
     // Bias couplers: visible bias fires with v_i, hidden with h_j.
     for (const std::size_t i : vOn) {

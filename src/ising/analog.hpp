@@ -132,18 +132,31 @@ class AnalogFabric
     /**
      * Shared current-summation + sampling sweep.  Computes, for each
      * output node, act = bias + sum_k in_k * W_eff and latches a bit.
-     * @p transposed selects visible->hidden (false reads W rows as
-     * inputs) vs hidden->visible orientation.
+     *
+     * Both directions run one kernel over an input-major array (w_
+     * for visible->hidden, the mirror wT_ for hidden->visible): each
+     * non-zero input adds its row across every output.  Per output,
+     * the additions happen in ascending input order with the circuit's
+     * float coupler product, and the bias enters first (v->h) or last
+     * (h->v), so the sums are exactly those of a per-output loop over
+     * all inputs; a zero input would add +-0 to a sum that is never
+     * -0, which is why skipping it is exact.
      */
     void sweep(const linalg::Vector &in, linalg::Vector &out,
                bool visibleToHidden, util::Rng &rng) const;
 
+    /** Rebuild the mirror wT_ from w_ after a bulk write. */
+    void refreshMirror();
+
     AnalogConfig config_;
-    linalg::Matrix w_;    ///< coupler gate voltages (m x n)
+    linalg::Matrix w_;    ///< coupler gate voltages (m x n), canonical
+    linalg::Matrix wT_;   ///< transposed mirror of w_ (n x m)
     linalg::Vector bv_;   ///< visible bias couplers
     linalg::Vector bh_;   ///< hidden bias couplers
 
     VariationField variation_;     ///< coupler mismatch (m x n)
+    linalg::Matrix gainT_;         ///< its transpose (n x m); empty
+                                   ///< when variation is off
     linalg::Vector biasVarV_;      ///< bias-coupler mismatch, visible
     linalg::Vector biasVarH_;      ///< bias-coupler mismatch, hidden
 

@@ -6,6 +6,7 @@
 #include "ising/components.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/math.hpp"
@@ -101,6 +102,28 @@ ChargePump::apply(double w, int direction, double gain) const
         1.0 - nonlinearity_ * std::min(1.0, std::fabs(w) / wMax_);
     const double delta = step_ * gain * shrink * direction;
     return std::clamp(w + delta, -wMax_, wMax_);
+}
+
+void
+ChargePump::applyRow(float *w, const float *gain, const float *fire,
+                     std::size_t n, int direction) const
+{
+    // The keep is a bitwise select: `fire ? moved : w[j]` compiles to
+    // a conditional store, which does not vectorize.
+    const auto row = [&](auto gainOf) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const float moved =
+                static_cast<float>(apply(w[j], direction, gainOf(j)));
+            const std::uint32_t keep = fire[j] > 0.5f ? 0u : ~0u;
+            w[j] = std::bit_cast<float>(
+                (std::bit_cast<std::uint32_t>(moved) & ~keep) |
+                (std::bit_cast<std::uint32_t>(w[j]) & keep));
+        }
+    };
+    if (gain)
+        row([gain](std::size_t j) { return static_cast<double>(gain[j]); });
+    else
+        row([](std::size_t) { return 1.0; });
 }
 
 } // namespace ising::machine

@@ -24,6 +24,7 @@
 #ifndef ISINGRBM_ISING_COMPONENTS_HPP
 #define ISINGRBM_ISING_COMPONENTS_HPP
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/rng.hpp"
@@ -166,6 +167,16 @@ class ChargePump
      * +-wMax.
      */
     double apply(double w, int direction, double gain) const;
+
+    /**
+     * apply() across a row of @p n couplers: w[j] moves iff
+     * fire[j] > 0.5, with gain[j] (1 when @p gain is null).  Every
+     * coupler is computed and the inactive ones are kept, so the loop
+     * is contiguous and branch-free; each moved value is the one
+     * apply() returns.
+     */
+    void applyRow(float *w, const float *gain, const float *fire,
+                  std::size_t n, int direction) const;
 
     double step() const { return step_; }
     double wMax() const { return wMax_; }

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "accel/bgf.hpp"
 #include "ising/analog.hpp"
 #include "ising/bipartite.hpp"
 #include "ising/brim.hpp"
@@ -331,4 +333,237 @@ TEST(AnalogFabric, BehavioralMatchesBrimAt32x32)
     }
     const double corr = cov / std::sqrt(varB * varT + 1e-12);
     EXPECT_GT(corr, 0.5);
+}
+
+// ------------------------------------------------- sweep bit-identity
+//
+// The fabric's settle sweep runs input-major over its coupler array
+// and a transposed mirror of it.  These tests hold it, bit for bit,
+// to the plain per-output definition below, written from public
+// pieces only.  Ideal, noiseless components keep the reference free
+// of anything a native build could contract into an FMA, so the
+// comparison is exact in portable and native builds alike.
+
+namespace {
+
+/**
+ * Per-output reference of the ideal, noiseless settle sweep: each
+ * node's current is its bias coupler plus the sum, in ascending input
+ * order, of the float coupler products -- (v * w) * g into a hidden
+ * node with the bias first, (w * g) * h into a visible node with the
+ * bias last -- then an ideal sigmoid and one uniform draw.
+ */
+class ReferenceSweep
+{
+  public:
+    explicit ReferenceSweep(const AnalogFabric &fabric) : fabric_(fabric)
+    {
+        // Re-draw the fabrication lottery in the constructor's order:
+        // coupler gains, then visible and hidden bias gains.
+        const AnalogConfig &cfg = fabric.config();
+        const double rms = cfg.noise.rmsVariation;
+        const std::size_t m = fabric.numVisible(), n = fabric.numHidden();
+        Rng fab(cfg.variationSeed);
+        gains_.materialize(m, n, rms, fab);
+        const auto biasGain = [&] {
+            return rms > 0 ? static_cast<float>(std::max(
+                                 0.05, 1.0 + fab.gaussian(0.0, rms)))
+                           : 1.0f;
+        };
+        for (std::size_t i = 0; i < m; ++i)
+            biasGainV_.push_back(biasGain());
+        for (std::size_t j = 0; j < n; ++j)
+            biasGainH_.push_back(biasGain());
+    }
+
+    void
+    sampleHidden(const linalg::Vector &v, linalg::Vector &h, Rng &rng) const
+    {
+        const linalg::Matrix &w = fabric_.rawWeights();
+        h.resize(fabric_.numHidden());
+        for (std::size_t j = 0; j < h.size(); ++j) {
+            double act = fabric_.rawHiddenBias()[j] * biasGainH_[j];
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                const float c = v[i] * w(i, j) * gains_.gain(i, j);
+                act += c;
+            }
+            h[j] = latch(act, rng);
+        }
+    }
+
+    void
+    sampleVisible(const linalg::Vector &h, linalg::Vector &v,
+                  Rng &rng) const
+    {
+        const linalg::Matrix &w = fabric_.rawWeights();
+        v.resize(fabric_.numVisible());
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            double acc = 0.0;
+            for (std::size_t j = 0; j < h.size(); ++j) {
+                const float c = w(i, j) * gains_.gain(i, j) * h[j];
+                acc += c;
+            }
+            const double bias = fabric_.rawVisibleBias()[i] * biasGainV_[i];
+            v[i] = latch(acc + bias, rng);
+        }
+    }
+
+    void
+    anneal(int steps, linalg::Vector &v, linalg::Vector &h, Rng &rng) const
+    {
+        for (int s = 0; s < steps; ++s) {
+            sampleVisible(h, v, rng);
+            sampleHidden(v, h, rng);
+        }
+    }
+
+  private:
+    float
+    latch(double act, Rng &rng) const
+    {
+        const machine::SigmoidUnit ideal(fabric_.config().sigmoidGain, 0.0,
+                                         0.0);
+        return rng.uniform() < ideal.transfer(act) ? 1.0f : 0.0f;
+    }
+
+    const AnalogFabric &fabric_;
+    machine::VariationField gains_;
+    std::vector<float> biasGainV_, biasGainH_;
+};
+
+/** A binary (p = 0.3) or fractional state of @p size units. */
+linalg::Vector
+randomState(std::size_t size, bool fractional, Rng &rng)
+{
+    linalg::Vector x(size);
+    for (std::size_t i = 0; i < size; ++i)
+        x[i] = fractional ? static_cast<float>(rng.uniform())
+                          : (rng.uniform() < 0.3 ? 1.0f : 0.0f);
+    return x;
+}
+
+/**
+ * Drive the fabric and the reference through every sweep entry point
+ * from equal RNG states and require equal latched bits and equal RNG
+ * consumption.
+ */
+void
+expectSweepsMatchReference(const AnalogFabric &fabric, bool fractional,
+                           std::uint64_t seed)
+{
+    const ReferenceSweep ref(fabric);
+    Rng inputs(seed);
+    for (int trial = 0; trial < 6; ++trial) {
+        SCOPED_TRACE(trial);
+        Rng a(seed + 100 + trial), b(seed + 100 + trial);
+        const linalg::Vector v =
+            randomState(fabric.numVisible(), fractional, inputs);
+        const linalg::Vector h =
+            randomState(fabric.numHidden(), fractional, inputs);
+        linalg::Vector outA, outB;
+
+        fabric.sampleHidden(v, outA, a);
+        ref.sampleHidden(v, outB, b);
+        EXPECT_EQ(outA, outB);
+
+        fabric.sampleVisible(h, outA, a);
+        ref.sampleVisible(h, outB, b);
+        EXPECT_EQ(outA, outB);
+
+        linalg::Vector vA, vB, hA = h, hB = h;
+        fabric.anneal(3, vA, hA, a);
+        ref.anneal(3, vB, hB, b);
+        EXPECT_EQ(vA, vB);
+        EXPECT_EQ(hA, hB);
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+} // namespace
+
+TEST(AnalogFabricSweep, MatchesReferenceThroughPumpProgramAndRestore)
+{
+    // Odd sizes leave remainders after any vector width.
+    const std::size_t m = 37, n = 23;
+    for (const double variation : {0.0, 0.15}) {
+        for (const bool fractional : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "variation " << variation << " fractional "
+                         << fractional);
+            AnalogConfig cfg = idealConfig();
+            cfg.noise.rmsVariation = variation;
+            cfg.pumpStep = 0.05;
+            cfg.variationSeed = 77;
+            Rng rng(40);
+            AnalogFabric fabric(m, n, cfg, rng);
+            fabric.program(randomModel(m, n, 41, 0.8f));
+            expectSweepsMatchReference(fabric, fractional, 1);
+
+            // Pump events move couplers in both copies of the array.
+            for (int e = 0; e < 5; ++e) {
+                const linalg::Vector v = randomState(m, false, rng);
+                const linalg::Vector h = randomState(n, false, rng);
+                fabric.pumpUpdate(v, h, (e % 2) ? -1 : +1, rng);
+            }
+            expectSweepsMatchReference(fabric, fractional, 2);
+
+            fabric.program(randomModel(m, n, 42, 0.8f));
+            expectSweepsMatchReference(fabric, fractional, 3);
+
+            const rbm::Rbm raw = randomModel(m, n, 43, 1.5f);
+            fabric.restoreRaw(raw.weights(), raw.visibleBias(),
+                              raw.hiddenBias());
+            expectSweepsMatchReference(fabric, fractional, 4);
+        }
+    }
+}
+
+TEST(AnalogFabricSweep, IdealNoiselessBgfRunDigestIsPinned)
+{
+    // A short ideal, noiseless BGF run: nothing in it can be contracted
+    // into an FMA, so its final coupler state is the same in portable
+    // and native builds.  The digest was captured before the sweep
+    // moved to the input-major kernel and its transposed mirror.
+    const std::size_t m = 48, n = 20;
+    rbm::Rbm init(m, n);
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            init.weights()(i, j) = 0.05f * static_cast<float>(
+                static_cast<int>((i * 7 + j * 13) % 17) - 8);
+    for (std::size_t i = 0; i < m; ++i)
+        init.visibleBias()[i] =
+            0.1f * static_cast<float>(static_cast<int>(i % 5) - 2);
+    for (std::size_t j = 0; j < n; ++j)
+        init.hiddenBias()[j] = -0.05f * static_cast<float>(j % 3);
+
+    accel::BgfConfig cfg;
+    cfg.learningRate = 0.01;
+    cfg.annealSteps = 3;
+    cfg.numParticles = 4;
+    cfg.analog.idealComponents = true;
+    Rng fab(21), rng(22);
+    accel::BoltzmannGradientFollower bgf(m, n, cfg, fab);
+    bgf.initialize(init);
+    std::vector<float> x(m);
+    for (int s = 0; s < 300; ++s) {
+        for (std::size_t i = 0; i < m; ++i)
+            x[i] = rng.uniform() < 0.3 ? 1.0f : 0.0f;
+        bgf.trainSample(x.data(), rng);
+    }
+
+    // FNV-1a over the raw coupler state.
+    std::uint64_t digest = 14695981039346656037ull;
+    const auto mix = [&digest](const float *p, std::size_t count) {
+        const auto *bytes = reinterpret_cast<const unsigned char *>(p);
+        for (std::size_t k = 0; k < count * sizeof(float); ++k) {
+            digest ^= bytes[k];
+            digest *= 1099511628211ull;
+        }
+    };
+    const AnalogFabric &f = bgf.fabric();
+    mix(f.rawWeights().data(), f.rawWeights().size());
+    mix(f.rawVisibleBias().data(), m);
+    mix(f.rawHiddenBias().data(), n);
+    EXPECT_EQ(digest, 0xaf69afa893e90d3dull);
+    EXPECT_EQ(rng.next(), 0xb731913ffb9dcb0eull);
 }

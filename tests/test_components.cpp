@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "ising/components.hpp"
 #include "ising/noise.hpp"
@@ -196,6 +197,39 @@ TEST(ChargePump, SaturatesAtWMax)
     for (int i = 0; i < 10; ++i)
         w = pump.apply(w, +1, 1.0);
     EXPECT_DOUBLE_EQ(w, 1.0);
+}
+
+TEST(ChargePump, RowUpdateIsApplyOnFiringCouplers)
+{
+    // The vectorized row update must return exactly what apply() does,
+    // coupler by coupler, in this build: with a nonlinear pump a
+    // contracted (fused) shrink term would show here as a bit flip.
+    const ChargePump pump(0.013, 1.5, 0.5);
+    Rng rng(3);
+    const std::size_t n = 45;  // remainders after any vector width
+    std::vector<float> w(n), gain(n), fire(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        w[j] = static_cast<float>(rng.uniform(-2.0, 2.0));  // some > wMax
+        gain[j] = static_cast<float>(rng.uniform(0.5, 1.5));
+        fire[j] = rng.uniform() < 0.5 ? 1.0f : 0.0f;
+    }
+    for (const int direction : {+1, -1}) {
+        for (const bool varied : {false, true}) {
+            std::vector<float> row = w;
+            pump.applyRow(row.data(), varied ? gain.data() : nullptr,
+                          fire.data(), n, direction);
+            for (std::size_t j = 0; j < n; ++j) {
+                const float expected =
+                    fire[j] > 0.5f
+                        ? static_cast<float>(pump.apply(
+                              w[j], direction, varied ? gain[j] : 1.0))
+                        : w[j];
+                EXPECT_EQ(row[j], expected)
+                    << "j " << j << " direction " << direction
+                    << " varied " << varied;
+            }
+        }
+    }
 }
 
 TEST(NoiseSpec, PaperGridHasSixCombos)

@@ -223,6 +223,31 @@ TEST(AnalogFabricBackend, BorrowedFabricIsShared)
     EXPECT_EQ(backend.numHidden(), 3u);
 }
 
+TEST(AnalogFabricBackend, AnnealMatchesTheAlternatingHalfSweeps)
+{
+    // The fabric backend runs the fabric's own anneal and copies the
+    // latched bits out once; samples, means and RNG use must equal the
+    // base class's per-sweep loop.
+    Rng fab(13);
+    rbm::Rbm model = biasedModel(9, 4);
+    machine::AnalogConfig cfg;
+    machine::AnalogFabric fabric(9, 4, cfg, fab);
+    fabric.program(model);
+    const accel::AnalogFabricBackend backend(fabric);
+    for (const int steps : {0, 1, 4}) {
+        Rng a(14), b(14);
+        linalg::Vector vA, hA(4, 1.0f), pvA, phA;
+        linalg::Vector vB, hB(4, 1.0f), pvB, phB;
+        backend.anneal(steps, vA, hA, pvA, phA, a);
+        backend.rbm::SamplingBackend::anneal(steps, vB, hB, pvB, phB, b);
+        EXPECT_EQ(vA, vB) << steps;
+        EXPECT_EQ(hA, hB) << steps;
+        EXPECT_EQ(pvA, pvB) << steps;
+        EXPECT_EQ(phA, phB) << steps;
+        EXPECT_EQ(a.next(), b.next()) << steps;
+    }
+}
+
 TEST(BackendFactory, ParsesKindNames)
 {
     using accel::SamplingBackendKind;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 
 #include "linalg/bitops.hpp"
 #include "util/checksum.hpp"
@@ -84,6 +85,17 @@ canaryShadowSelected(std::uint64_t seed, double fraction)
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     z ^= z >> 31;
     return static_cast<double>(z >> 11) * 0x1.0p-53 < fraction;
+}
+
+bool
+canaryLatencyBreached(std::vector<double> ratios, std::size_t window,
+                      double maxMultiple)
+{
+    if (maxMultiple <= 0.0 || window == 0 || ratios.size() < window)
+        return false;
+    const auto median = ratios.begin() + (ratios.size() - 1) / 2;
+    std::nth_element(ratios.begin(), median, ratios.end());
+    return *median > maxMultiple;
 }
 
 namespace {
@@ -281,7 +293,7 @@ Server::prepare(Pending &pending)
         // Wire-packed rows are binary by construction and already in
         // canonical packed form: nothing to classify, nothing to pack.
         pending.binaryInput = true;
-    } else if (req.op != Op::Sample && (caching || config_.packedGather)) {
+    } else if (req.op != Op::Sample) {
         // One fused scan classifies the input; binary rows then pack
         // exactly once, feeding both the key hash and the packed
         // gather.
@@ -418,155 +430,31 @@ Server::executeGroup(const std::vector<Pending *> &group)
         return;
     }
     const auto model = std::move(resolved).value();
-    const Op op = group.front()->req.op;
     ++stats_.groups;
 
-    // Map each coalesced row back to (request, in-request row); every
-    // row keeps the stream derived from *its own request's* seed and
-    // in-request index, so results cannot depend on what the row was
-    // coalesced with.  The map and stream vectors are members reused
-    // across flushes (capacity sticks at the high-water mark).
-    std::size_t totalRows = 0;
-    for (const Pending *p : group)
-        totalRows += p->rows;
-    rowMap_.clear();
-    rowMap_.reserve(totalRows);
-    rngs_.clear();
-    rngs_.reserve(totalRows);
-    for (std::size_t q = 0; q < group.size(); ++q)
-        for (std::size_t r = 0; r < group[q]->rows; ++r) {
-            rowMap_.push_back({q, r});
-            rngs_.push_back(util::Rng::stream(group[q]->req.seed, r));
-        }
-
-    // Per-request result storage, written as each kernel-sized chunk
-    // completes: one gather copy in, one scatter copy out.
-    const std::size_t width = model->outputDim(op);
-    std::vector<Response> responses(group.size());
-    for (std::size_t q = 0; q < group.size(); ++q) {
-        if (op == Op::Classify)
-            responses[q].labels.assign(group[q]->rows, -1);
-        else
-            responses[q].output.reset(group[q]->rows, width);
-    }
-
-    // The packed plane serves this group when every member packed its
-    // input (all-binary) and the model family takes a packed layer-0
-    // plane for this op.  Gathering is then a word-level row copy per
-    // row instead of a float copy plus a per-row repack inside the
-    // kernels -- binary inputs pack exactly once, at prepare().
-    const bool packedPlane =
-        op != Op::Sample && op != Op::Classify && config_.packedGather &&
-        model->supportsPackedInput(op) &&
-        std::all_of(group.begin(), group.end(),
-                    [](const Pending *p) { return p->binaryInput; });
-
-    const auto runBatches = [&] {
-        const std::size_t inDim = model->inputDim();
-        for (std::size_t begin = 0; begin < totalRows;
-             begin += config_.maxBatchRows) {
-            const std::size_t end =
-                std::min(totalRows, begin + config_.maxBatchRows);
-            ++stats_.kernelBatches;
-            if (op != Op::Sample && !packedPlane) {
-                // Reused gather buffer: reshaping (and thus
-                // reallocating) only when the chunk shape actually
-                // changes is what the scratchResizes stat counts.
-                if (in_.rows() != end - begin || in_.cols() != inDim) {
-                    in_.reset(end - begin, inDim);
-                    ++stats_.scratchResizes;
-                }
-                for (std::size_t g = begin; g < end; ++g) {
-                    const RowRef &ref = rowMap_[g];
-                    const Pending &p = *group[ref.pending];
-                    // Wire-packed requests have no float plane; the
-                    // non-packed execution paths (Classify, legacy
-                    // gather) unpack per gathered row instead.
-                    if (p.req.packed)
-                        p.req.packedInput.unpackRowTo(ref.row,
-                                                      in_.row(g - begin));
-                    else
-                        std::copy_n(p.req.input.row(ref.row), inDim,
-                                    in_.row(g - begin));
-                }
-            } else if (packedPlane) {
-                if (packedIn_.rows() != end - begin ||
-                    packedIn_.cols() != inDim) {
-                    packedIn_.reset(end - begin, inDim);
-                    ++stats_.scratchResizes;
-                }
-                for (std::size_t g = begin; g < end; ++g) {
-                    const RowRef &ref = rowMap_[g];
-                    packedIn_.copyRowFrom(
-                        g - begin, inputBits(*group[ref.pending]),
-                        ref.row);
-                }
-            }
-            const auto scatter = [&](const linalg::Matrix &chunk) {
-                for (std::size_t g = 0; g < chunk.rows(); ++g) {
-                    const RowRef &ref = rowMap_[begin + g];
-                    std::copy_n(
-                        chunk.row(g), chunk.cols(),
-                        responses[ref.pending].output.row(ref.row));
-                }
-            };
-            switch (op) {
-              case Op::Sample:
-                model->sampleRows(group.front()->req.steps, end - begin,
-                                  rngs_.data() + begin, chunk_,
-                                  modelScratch_);
-                scatter(chunk_);
-                break;
-              case Op::Featurize:
-                if (packedPlane)
-                    model->featurizeRowsPacked(packedIn_, chunk_,
-                                               modelScratch_);
-                else
-                    model->featurizeRows(in_, chunk_, modelScratch_);
-                scatter(chunk_);
-                break;
-              case Op::Reconstruct:
-                if (packedPlane)
-                    model->reconstructRowsPacked(packedIn_,
-                                                 rngs_.data() + begin,
-                                                 chunk_, modelScratch_);
-                else
-                    model->reconstructRows(in_, rngs_.data() + begin,
-                                           chunk_, modelScratch_);
-                scatter(chunk_);
-                break;
-              case Op::Classify:
-                model->classifyRows(in_, labelChunk_);
-                for (std::size_t g = begin; g < end; ++g) {
-                    const RowRef &ref = rowMap_[g];
-                    responses[ref.pending].labels[ref.row] =
-                        labelChunk_[g - begin];
-                }
-                break;
-            }
-        }
-    };
-
+    // The canary compares process CPU time (std::clock: every thread,
+    // and still while the process is descheduled), which is a syscall:
+    // read it only when a gate may want the incumbent's cost.
+    const bool gated = config_.canary.fraction > 0.0;
+    const std::clock_t cpuStart = gated ? std::clock() : 0;
     // Contain execution: anything fatal inside the batched kernels
     // (impossible-shape archive that slipped past validation, scratch
     // exhaustion) fails this group's requests instead of the process.
-    util::Stopwatch kernelWatch;
+    std::vector<Response> responses;
     try {
         util::FatalThrowScope scope;
-        runBatches();
+        stats_.rows += runGroup(*model, group, responses, true);
     } catch (const util::FatalError &e) {
         failGroup(Status(StatusCode::Internal, e.what()));
         return;
     }
-    const auto incumbentNs =
-        static_cast<std::uint64_t>(kernelWatch.seconds() * 1e9);
-    stats_.rows += totalRows;
+    const std::clock_t incumbentCpu = gated ? std::clock() - cpuStart : 0;
 
     // Shadow the gate-selected members through the staged candidate
     // *before* the responses are cached or delivered -- the gate sees
     // exactly the bytes the clients will -- but strictly read-only:
     // promotion or quarantine can only affect later flushes.
-    maybeShadow(group, responses, incumbentNs);
+    maybeShadow(group, responses, incumbentCpu);
 
     // Cache the executed responses, unless the model hot-swapped
     // between the cache probe and this execution (the key would claim
@@ -580,12 +468,145 @@ Server::executeGroup(const std::vector<Pending *> &group)
     }
 }
 
+std::size_t
+Server::runGroup(const Model &model, const std::vector<Pending *> &members,
+                 std::vector<Response> &out, bool countStats)
+{
+    const Op op = members.front()->req.op;
+
+    // Map each coalesced row back to (request, in-request row); every
+    // row keeps the stream derived from *its own request's* seed and
+    // in-request index, so results cannot depend on what the row was
+    // coalesced with.  The map and stream vectors are members reused
+    // across flushes (capacity sticks at the high-water mark).
+    std::size_t totalRows = 0;
+    for (const Pending *p : members)
+        totalRows += p->rows;
+    rowMap_.clear();
+    rowMap_.reserve(totalRows);
+    rngs_.clear();
+    rngs_.reserve(totalRows);
+    for (std::size_t q = 0; q < members.size(); ++q)
+        for (std::size_t r = 0; r < members[q]->rows; ++r) {
+            rowMap_.push_back({q, r});
+            rngs_.push_back(util::Rng::stream(members[q]->req.seed, r));
+        }
+
+    // Per-request result storage, written as each kernel-sized chunk
+    // completes: one gather copy in, one scatter copy out.
+    const std::size_t width = model.outputDim(op);
+    out.resize(members.size());
+    for (std::size_t q = 0; q < members.size(); ++q) {
+        if (op == Op::Classify)
+            out[q].labels.assign(members[q]->rows, -1);
+        else
+            out[q].output.reset(members[q]->rows, width);
+    }
+
+    // The packed plane serves this group when every member packed its
+    // input (all-binary) and the model family takes a packed layer-0
+    // plane for this op.  Gathering is then a word-level row copy per
+    // row instead of a float copy plus a per-row repack inside the
+    // kernels -- binary inputs pack exactly once, at prepare().
+    const bool packedPlane =
+        model.supportsPackedInput(op) &&
+        std::all_of(members.begin(), members.end(),
+                    [](const Pending *p) { return p->binaryInput; });
+
+    const std::size_t inDim = model.inputDim();
+    for (std::size_t begin = 0; begin < totalRows;
+         begin += config_.maxBatchRows) {
+        const std::size_t end =
+            std::min(totalRows, begin + config_.maxBatchRows);
+        if (countStats)
+            ++stats_.kernelBatches;
+        if (op != Op::Sample && !packedPlane) {
+            // Reused gather buffer: reshaping (and thus reallocating)
+            // only when the chunk shape actually changes is what the
+            // scratchResizes stat counts.
+            if (in_.rows() != end - begin || in_.cols() != inDim) {
+                in_.reset(end - begin, inDim);
+                if (countStats)
+                    ++stats_.scratchResizes;
+            }
+            for (std::size_t g = begin; g < end; ++g) {
+                const RowRef &ref = rowMap_[g];
+                const Pending &p = *members[ref.pending];
+                // Wire-packed requests have no float plane; the
+                // non-packed execution paths (Classify, families
+                // without packed ops) unpack per gathered row instead.
+                if (p.req.packed)
+                    p.req.packedInput.unpackRowTo(ref.row,
+                                                  in_.row(g - begin));
+                else
+                    std::copy_n(p.req.input.row(ref.row), inDim,
+                                in_.row(g - begin));
+            }
+        } else if (packedPlane) {
+            if (packedIn_.rows() != end - begin ||
+                packedIn_.cols() != inDim) {
+                packedIn_.reset(end - begin, inDim);
+                if (countStats)
+                    ++stats_.scratchResizes;
+            }
+            for (std::size_t g = begin; g < end; ++g) {
+                const RowRef &ref = rowMap_[g];
+                packedIn_.copyRowFrom(g - begin,
+                                      inputBits(*members[ref.pending]),
+                                      ref.row);
+            }
+        }
+        const auto scatter = [&] {
+            for (std::size_t g = 0; g < chunk_.rows(); ++g) {
+                const RowRef &ref = rowMap_[begin + g];
+                std::copy_n(chunk_.row(g), chunk_.cols(),
+                            out[ref.pending].output.row(ref.row));
+            }
+        };
+        switch (op) {
+          case Op::Sample:
+            model.sampleRows(members.front()->req.steps, end - begin,
+                             rngs_.data() + begin, chunk_,
+                             modelScratch_);
+            scatter();
+            break;
+          case Op::Featurize:
+            if (packedPlane)
+                model.featurizeRowsPacked(packedIn_, chunk_,
+                                          modelScratch_);
+            else
+                model.featurizeRows(in_, chunk_, modelScratch_);
+            scatter();
+            break;
+          case Op::Reconstruct:
+            if (packedPlane)
+                model.reconstructRowsPacked(packedIn_,
+                                            rngs_.data() + begin, chunk_,
+                                            modelScratch_);
+            else
+                model.reconstructRows(in_, rngs_.data() + begin, chunk_,
+                                      modelScratch_);
+            scatter();
+            break;
+          case Op::Classify:
+            model.classifyRows(in_, labelChunk_);
+            for (std::size_t g = begin; g < end; ++g) {
+                const RowRef &ref = rowMap_[g];
+                out[ref.pending].labels[ref.row] = labelChunk_[g - begin];
+            }
+            break;
+        }
+    }
+    return totalRows;
+}
+
 void
 Server::canaryQuarantine(const std::string &reason)
 {
     ++stats_.canaryQuarantines;
     registry_.noteRollback();
     canaryCleanStreak_ = 0;
+    canaryLatencyRatios_.clear();
     // Capped exponential backoff, doubling per breach; only restaging
     // a candidate (a new Server / a new gate) resets the ladder, so a
     // persistently bad candidate costs asymptotically nothing.
@@ -605,7 +626,7 @@ Server::canaryQuarantine(const std::string &reason)
 void
 Server::maybeShadow(const std::vector<Pending *> &group,
                     const std::vector<Response> &responses,
-                    std::uint64_t incumbentNs)
+                    std::clock_t incumbentCpu)
 {
     const ServerConfig::CanaryGate &gate = config_.canary;
     if (gate.fraction <= 0.0 || gate.model.empty() ||
@@ -636,11 +657,14 @@ Server::maybeShadow(const std::vector<Pending *> &group,
     // The seeded splitter picks members one by one -- a pure function
     // of each request's own seed, so the shadow set is identical under
     // any coalescing, arrival order or batch depth.
+    shadowMembers_.clear();
     shadowPicked_.clear();
     for (std::size_t q = 0; q < group.size(); ++q)
-        if (canaryShadowSelected(group[q]->req.seed, gate.fraction))
+        if (canaryShadowSelected(group[q]->req.seed, gate.fraction)) {
+            shadowMembers_.push_back(group[q]);
             shadowPicked_.push_back(q);
-    if (shadowPicked_.empty())
+        }
+    if (shadowMembers_.empty())
         return;
 
     // A candidate whose output width drifted from the incumbent's has
@@ -656,109 +680,67 @@ Server::maybeShadow(const std::vector<Pending *> &group,
         return;
     }
 
-    // Re-run the shadowed members through the candidate with fresh
-    // per-row streams -- the exact streams the incumbent used, so any
+    // Run the picked members through the candidate as one coalesced
+    // group -- the exact per-row streams the incumbent used, so any
     // output difference is the models', never the randomness'.
     util::Stopwatch shadowWatch;
-    double breachMae = -1.0;
+    const std::clock_t cpuStart = std::clock();
     try {
         util::FatalThrowScope scope;
-        const std::size_t inDim = candidate->inputDim();
-        for (const std::size_t q : shadowPicked_) {
-            const Pending &p = *group[q];
-            const std::size_t rows = p.rows;
-            shadowRngs_.clear();
-            shadowRngs_.reserve(rows);
-            for (std::size_t r = 0; r < rows; ++r)
-                shadowRngs_.push_back(
-                    util::Rng::stream(p.req.seed, r));
-            double absSum = 0.0;
-            std::size_t terms = 0;
-            for (std::size_t begin = 0; begin < rows;
-                 begin += config_.maxBatchRows) {
-                const std::size_t end =
-                    std::min(rows, begin + config_.maxBatchRows);
-                if (op != Op::Sample) {
-                    if (shadowIn_.rows() != end - begin ||
-                        shadowIn_.cols() != inDim)
-                        shadowIn_.reset(end - begin, inDim);
-                    for (std::size_t r = begin; r < end; ++r) {
-                        if (p.req.packed)
-                            p.req.packedInput.unpackRowTo(
-                                r, shadowIn_.row(r - begin));
-                        else
-                            std::copy_n(p.req.input.row(r), inDim,
-                                        shadowIn_.row(r - begin));
-                    }
-                }
-                switch (op) {
-                  case Op::Sample:
-                    candidate->sampleRows(p.req.steps, end - begin,
-                                          shadowRngs_.data() + begin,
-                                          shadowChunk_, shadowScratch_);
-                    break;
-                  case Op::Featurize:
-                    candidate->featurizeRows(shadowIn_, shadowChunk_,
-                                             shadowScratch_);
-                    break;
-                  case Op::Reconstruct:
-                    candidate->reconstructRows(
-                        shadowIn_, shadowRngs_.data() + begin,
-                        shadowChunk_, shadowScratch_);
-                    break;
-                  case Op::Classify:
-                    break;  // filtered above
-                }
-                for (std::size_t r = 0; r < shadowChunk_.rows(); ++r) {
-                    const float *cand = shadowChunk_.row(r);
-                    const float *inc =
-                        responses[q].output.row(begin + r);
-                    for (std::size_t c = 0; c < shadowChunk_.cols();
-                         ++c)
-                        absSum += std::fabs(
-                            static_cast<double>(cand[c]) -
-                            static_cast<double>(inc[c]));
-                    terms += shadowChunk_.cols();
-                }
-            }
-            const double mae =
-                terms ? absSum / static_cast<double>(terms) : 0.0;
-            ++stats_.canaryShadows;
-            canaryLastDivergence_ = mae;
-            canaryDivergence_.record(
-                static_cast<std::uint64_t>(mae * 1e9));
-            if (mae > gate.maxDivergence) {
-                breachMae = mae;
-                break;
-            }
-            ++canaryCleanStreak_;
-        }
+        runGroup(*candidate, shadowMembers_, shadowOut_, false);
     } catch (const util::FatalError &e) {
         ++stats_.canaryFailureBreaches;
         canaryQuarantine(std::string("candidate execution failed: ") +
                          e.what());
         return;
     }
-    const auto shadowNs =
-        static_cast<std::uint64_t>(shadowWatch.seconds() * 1e9);
-    shadowLatency_.record(shadowNs);
+    const std::clock_t shadowCpu = std::clock() - cpuStart;
+    shadowLatency_.record(
+        static_cast<std::uint64_t>(shadowWatch.seconds() * 1e9));
 
-    if (breachMae >= 0.0) {
-        ++stats_.canaryDivergenceBreaches;
-        canaryQuarantine(util::strcat("divergence ", breachMae,
-                                      " exceeds gate ",
-                                      gate.maxDivergence));
-        return;
+    // Score each picked member in member order; the first divergent
+    // one breaches and ends the group's scoring.
+    for (std::size_t s = 0; s < shadowMembers_.size(); ++s) {
+        const linalg::Matrix &cand = shadowOut_[s].output;
+        const linalg::Matrix &inc = responses[shadowPicked_[s]].output;
+        double absSum = 0.0;
+        for (std::size_t i = 0; i < cand.size(); ++i)
+            absSum += std::fabs(static_cast<double>(cand.data()[i]) -
+                                static_cast<double>(inc.data()[i]));
+        const double mae =
+            cand.size() ? absSum / static_cast<double>(cand.size()) : 0.0;
+        ++stats_.canaryShadows;
+        canaryLastDivergence_ = mae;
+        canaryDivergence_.record(static_cast<std::uint64_t>(mae * 1e9));
+        if (mae > gate.maxDivergence) {
+            ++stats_.canaryDivergenceBreaches;
+            canaryQuarantine(util::strcat("divergence ", mae,
+                                          " exceeds gate ",
+                                          gate.maxDivergence));
+            return;
+        }
+        ++canaryCleanStreak_;
     }
-    if (incumbentNs > 0 && gate.maxLatencyMultiple > 0.0 &&
-        static_cast<double>(shadowNs) >
-            gate.maxLatencyMultiple *
-                static_cast<double>(incumbentNs)) {
-        ++stats_.canaryLatencyBreaches;
-        canaryQuarantine(util::strcat(
-            "shadow cost ", shadowNs, " ns > ", gate.maxLatencyMultiple,
-            "x incumbent ", incumbentNs, " ns"));
-        return;
+
+    // Latency is judged on the median of a window of per-group CPU
+    // cost ratios, never on one group: a single slow sample cannot
+    // quarantine, and time spent descheduled counts for neither side.
+    if (gate.maxLatencyMultiple > 0.0 && incumbentCpu > 0) {
+        const std::size_t window =
+            std::max<std::size_t>(gate.minShadows, 1);
+        canaryLatencyRatios_.push_back(
+            static_cast<double>(shadowCpu) /
+            static_cast<double>(incumbentCpu));
+        if (canaryLatencyRatios_.size() > window)
+            canaryLatencyRatios_.erase(canaryLatencyRatios_.begin());
+        if (canaryLatencyBreached(canaryLatencyRatios_, window,
+                                  gate.maxLatencyMultiple)) {
+            ++stats_.canaryLatencyBreaches;
+            canaryQuarantine(util::strcat(
+                "median shadow CPU cost over the last ", window,
+                " groups > ", gate.maxLatencyMultiple, "x incumbent"));
+            return;
+        }
     }
     // Deadline pressure: these members were all unexpired when the
     // flush started; if one ran out *now*, shadow work is what ate the
@@ -772,7 +754,13 @@ Server::maybeShadow(const std::vector<Pending *> &group,
             return;
         }
 
-    if (gate.autoPromote && canaryCleanStreak_ >= gate.minShadows) {
+    // The streak counts requests and the window groups, so one
+    // coalesced group can fill the streak long before the window: a
+    // promote also waits while the median so far is over the multiple
+    // (only a full window breaches).
+    if (gate.autoPromote && canaryCleanStreak_ >= gate.minShadows &&
+        !canaryLatencyBreached(canaryLatencyRatios_, 1,
+                               gate.maxLatencyMultiple)) {
         auto promoted = registry_.promoteStaged(gate.model);
         if (promoted.ok()) {
             ++stats_.canaryPromotions;

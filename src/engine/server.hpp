@@ -34,13 +34,13 @@
  * registry, a deterministic seeded splitter -- a pure function of the
  * request seed, so the split reproduces at any arrival interleaving --
  * routes a configured fraction of executed requests into *shadow*
- * execution: the candidate re-runs the same rows beside the incumbent,
- * the outputs are compared, and the divergence/latency land in the
- * gate state machine.  Client-visible bytes always come from the
+ * execution: the candidate re-runs the same rows through the same group
+ * runner, the outputs are compared, and the divergence/latency land in
+ * the gate state machine.  Client-visible bytes always come from the
  * incumbent, so served output is bit-identical with the canary on or
  * off; after minShadows consecutive clean shadows the gate
  * auto-promotes through ModelRegistry::promoteStaged, and any breach
- * (divergence, latency multiple, candidate failure, deadline
+ * (divergence, windowed latency median, candidate failure, deadline
  * pressure) quarantines the candidate with capped backoff and rolls
  * back.
  */
@@ -49,6 +49,7 @@
 #define ISINGRBM_ENGINE_SERVER_HPP
 
 #include <cstdint>
+#include <ctime>
 #include <future>
 #include <list>
 #include <string>
@@ -85,15 +86,6 @@ struct ServerConfig
     std::size_t cacheBytes = 0;
 
     /**
-     * Gather binary request rows into the packed bit plane (word-level
-     * row copies) and feed the packed-input model ops, so a miss packs
-     * its input exactly once at group assembly.  Disabling falls back
-     * to the float gather -- bit-identical by contract, kept for the
-     * byte-diff canaries and non-binary inputs.
-     */
-    bool packedGather = true;
-
-    /**
      * Live-canary gate knobs (see the file comment).  The gate is off
      * until `model` names a registry entry with a staged candidate and
      * `fraction` is positive; it then shadows that fraction of
@@ -110,8 +102,9 @@ struct ServerConfig
         /** Max mean-absolute divergence (candidate vs incumbent
          *  output) a shadow may show and still count as clean. */
         double maxDivergence = 0.05;
-        /** Breach when a group's shadow run costs more than this
-         *  multiple of the incumbent's kernel time (0 disables). */
+        /** Breach when the median candidate/incumbent CPU-cost ratio
+         *  of the last minShadows shadowed groups exceeds this
+         *  multiple (0 disables; see canaryLatencyBreached). */
         double maxLatencyMultiple = 8.0;
         /** Quarantine backoff: first breach waits min ms, doubling
          *  per breach up to max; shadowing resumes after the window. */
@@ -136,7 +129,7 @@ struct Request
      * straight into this plane, so a socket request never round-trips
      * through floats -- flush feeds the words directly to the packed
      * gather and the cache-key hash, and only a non-packed execution
-     * path (Classify, legacy float gather) unpacks.  Set `packed` to
+     * path (Classify, float-only families) unpacks.  Set `packed` to
      * make this plane authoritative; `input` is then ignored.
      */
     linalg::BitMatrix packedInput;
@@ -249,8 +242,7 @@ class Server
         /** Per-shadow candidate-vs-incumbent MAE in nano-units
          *  (uint64(mae * 1e9)), as a mergeable distribution. */
         util::Histogram canaryDivergenceNano;
-        /** Candidate nanoseconds per shadowed group: the latency
-         *  overhead the gate charges against maxLatencyMultiple. */
+        /** Candidate wall-clock nanoseconds per shadowed group. */
         util::Histogram shadowLatencyNs;
         /**
          * Wall-clock nanoseconds per flush() that executed work, as a
@@ -373,16 +365,27 @@ class Server
     void executeGroup(const std::vector<Pending *> &group);
 
     /**
+     * The one group runner, for the incumbent and the canary shadow:
+     * run @p members through @p model in kernel batches of at most
+     * maxBatchRows rows (packed plane when every member is binary and
+     * the model takes it) into one response per member of @p out.
+     * @p countStats charges kernelBatches/scratchResizes.  Returns the
+     * rows executed.
+     */
+    std::size_t runGroup(const Model &model,
+                         const std::vector<Pending *> &members,
+                         std::vector<Response> &out, bool countStats);
+
+    /**
      * Shadow-execute the gate-selected members of @p group through the
      * staged candidate and feed the gate state machine.  Reads the
      * incumbent @p responses strictly read-only -- shadow execution
      * never touches client-visible bytes or the response cache.
-     * @p incumbentNs is the incumbent's kernel wall time for this
-     * group (the latency-breach baseline).
+     * @p incumbentCpu is the incumbent run's std::clock() CPU time.
      */
     void maybeShadow(const std::vector<Pending *> &group,
                      const std::vector<Response> &responses,
-                     std::uint64_t incumbentNs);
+                     std::clock_t incumbentCpu);
 
     /** Gate breach: quarantine the candidate with capped backoff. */
     void canaryQuarantine(const std::string &reason);
@@ -408,11 +411,15 @@ class Server
     util::Histogram shadowLatency_;     ///< candidate ns per group
     long canaryBackoffMs_ = 0;          ///< 0 until the first breach
     std::uint64_t canaryResumeNs_ = 0;  ///< quarantine expiry
+    /** Candidate/incumbent CPU-cost ratios of the last minShadows
+     *  shadowed groups; cleared on quarantine. */
+    std::vector<double> canaryLatencyRatios_;
 
     // Per-flush scratch, reused across groups and flushes (one
     // dispatcher thread): group slots, row map, per-row streams, the
     // gather/scatter chunk buffers (float and packed planes) and the
-    // model ops' staging matrices.
+    // model ops' staging matrices.  The canary shadow shares them: it
+    // runs after the incumbent's bytes are out of them.
     std::vector<Group> groups_;
     std::vector<FlushModel> flushModels_;
     std::vector<RowRef> rowMap_;
@@ -422,14 +429,10 @@ class Server
     std::vector<int> labelChunk_;
     BatchScratch modelScratch_;
 
-    // Shadow-execution scratch, deliberately separate from the serving
-    // buffers above: the candidate re-derives its own per-row streams
-    // and gathers into its own planes, so shadowing cannot perturb a
-    // single byte of the incumbent path.
+    // Shadowed members, their indices in the group, candidate output.
+    std::vector<Pending *> shadowMembers_;
     std::vector<std::size_t> shadowPicked_;
-    std::vector<util::Rng> shadowRngs_;
-    linalg::Matrix shadowIn_, shadowChunk_;
-    BatchScratch shadowScratch_;
+    std::vector<Response> shadowOut_;
 
     // Response cache: LRU list (front = most recent) indexed by key.
     std::list<CacheEntry> cacheLru_;
@@ -450,6 +453,16 @@ std::uint64_t steadyNowNs();
  * or worker count -- the property the splitter tests pin down.
  */
 bool canaryShadowSelected(std::uint64_t seed, double fraction);
+
+/**
+ * The live-canary latency verdict over a window of candidate/incumbent
+ * cost @p ratios, one per shadowed group.  No verdict (false) until the
+ * window holds @p window ratios; then true when its lower median
+ * exceeds @p maxMultiple -- when a strict majority of the window ran
+ * slow, so no single outlier can breach.  @p maxMultiple <= 0 disables.
+ */
+bool canaryLatencyBreached(std::vector<double> ratios,
+                           std::size_t window, double maxMultiple);
 
 /**
  * Uniform probe workload for throughput measurement: @p requests

@@ -2,10 +2,13 @@
  * @file
  * Live-canary gate tests: the seeded traffic splitter is a pure
  * function of the request seed; shadow execution never moves a
- * client-visible byte; a clean candidate auto-promotes through the
- * atomic-swap path after its clean streak; a divergent candidate is
- * quarantined with capped backoff while the incumbent (and its
- * archive) keep serving untouched; and per-request deadlines resolve
+ * client-visible byte; the shadow runs the picked members as one
+ * coalesced, packed batch and scores each of them; the latency verdict
+ * judges a window's median, never one sample; a clean candidate
+ * auto-promotes through the atomic-swap path after its clean streak; a
+ * divergent candidate is quarantined with capped backoff while the
+ * incumbent (and its archive) keep serving untouched; and per-request
+ * deadlines resolve
  * DEADLINE_EXCEEDED before any kernel work, at admission and at
  * flush, without perturbing the requests they were coalesced with.
  */
@@ -129,6 +132,28 @@ class CanaryGateTest : public ::testing::Test
         return out;
     }
 
+    /** The corpus as wire-packed requests (the net front end's form:
+     *  no float plane at all). */
+    std::vector<Request>
+    packedCorpus(std::size_t n, std::size_t rows, std::size_t dim) const
+    {
+        std::vector<Request> out;
+        for (std::size_t q = 0; q < n; ++q) {
+            Request req;
+            req.model = "m";
+            req.op = Op::Reconstruct;
+            req.seed = 2000 + q;
+            const linalg::Matrix rowsIn =
+                engine::canaryProbe(rows, dim, req.seed);
+            req.packed = true;
+            req.packedInput.reset(rows, dim);
+            for (std::size_t r = 0; r < rows; ++r)
+                req.packedInput.packRowFrom(r, rowsIn.row(r));
+            out.push_back(std::move(req));
+        }
+        return out;
+    }
+
     std::string dir_;
 };
 
@@ -173,6 +198,45 @@ TEST(CanarySplitter, IsAPureFunctionOfTheSeed)
         picked += engine::canaryShadowSelected(seed, 0.25);
     EXPECT_GT(picked, 20000 * 0.20);
     EXPECT_LT(picked, 20000 * 0.30);
+}
+
+// -------------------------------------------------- latency verdict
+
+TEST(CanaryLatencyVerdict, OneOutlierInAFullWindowDoesNotBreach)
+{
+    // One scheduler stall makes one group look 100x slower; the median
+    // of the window does not move.
+    EXPECT_FALSE(engine::canaryLatencyBreached({1.0, 1.2, 100.0, 0.9},
+                                               4, 8.0));
+    EXPECT_FALSE(engine::canaryLatencyBreached({100.0, 1.0, 1.0, 1.0},
+                                               4, 8.0));
+    // Two stalls in four are a tie, not a majority.
+    EXPECT_FALSE(engine::canaryLatencyBreached({100.0, 1.0, 100.0, 1.0},
+                                               4, 8.0));
+}
+
+TEST(CanaryLatencyVerdict, UniformlySlowWindowBreaches)
+{
+    EXPECT_TRUE(engine::canaryLatencyBreached({10.0, 10.0, 10.0, 10.0},
+                                              4, 8.0));
+    // A strict majority above the multiple is enough.
+    EXPECT_TRUE(engine::canaryLatencyBreached({1.0, 10.0, 10.0, 10.0},
+                                              4, 8.0));
+    EXPECT_TRUE(engine::canaryLatencyBreached(
+        {1.0, 1.0, 10.0, 10.0, 10.0}, 5, 8.0));
+    // A multiple of 0 disables the verdict.
+    EXPECT_FALSE(engine::canaryLatencyBreached({10.0, 10.0, 10.0, 10.0},
+                                               4, 0.0));
+}
+
+TEST(CanaryLatencyVerdict, PartialWindowGivesNoVerdict)
+{
+    EXPECT_FALSE(engine::canaryLatencyBreached({}, 4, 8.0));
+    EXPECT_FALSE(engine::canaryLatencyBreached({10.0, 10.0, 10.0}, 4,
+                                               8.0));
+    EXPECT_FALSE(engine::canaryLatencyBreached({10.0}, 0, 8.0));
+    // ...until the window fills.
+    EXPECT_TRUE(engine::canaryLatencyBreached({10.0}, 1, 8.0));
 }
 
 // ---------------------------------------------- promote / quarantine
@@ -378,6 +442,179 @@ TEST_F(CanaryGateTest, PartialFractionShadowsOnlySelectedSeeds)
     // and the pure function agree request for request.
     EXPECT_EQ(server.stats().canaryShadows, selected);
     EXPECT_EQ(server.stats().canaryPromotions, 0u);
+}
+
+// --------------------------------------------------- coalesced shadow
+
+TEST_F(CanaryGateTest, CoalescedPackedShadowScoresEachPickedMember)
+{
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    const std::string cand = path("cand.ckpt");
+    rbm::saveCheckpoint(makeCkpt(copyRbm(6), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+
+    // Six 3-row wire-packed requests at a 4-row batch depth: submit
+    // auto-flushes every second request, so each flush is one 6-row
+    // group in two chunks, and the second member straddles them.
+    const auto live = packedCorpus(6, 3, 6);
+    const double fraction = 0.5;
+    std::size_t selected = 0, shadowedGroups = 0;
+    for (std::size_t q = 0; q < live.size(); q += 2) {
+        const std::size_t picks =
+            engine::canaryShadowSelected(live[q].seed, fraction) +
+            engine::canaryShadowSelected(live[q + 1].seed, fraction);
+        selected += picks;
+        shadowedGroups += picks > 0;
+    }
+    ASSERT_GT(selected, 0u);
+    ASSERT_LT(selected, live.size());
+
+    ServerConfig off;
+    off.maxBatchRows = 4;
+    Server plain(registry, off);
+    const auto expected = plain.serve(live);
+
+    ServerConfig config = off;
+    config.canary.model = "m";
+    config.canary.fraction = fraction;
+    config.canary.minShadows = 2;
+    config.canary.autoPromote = false;
+    Server server(registry, config);
+    const auto got = server.serve(live);
+    for (std::size_t q = 0; q < live.size(); ++q) {
+        ASSERT_TRUE(got[q].status.ok()) << q;
+        EXPECT_TRUE(sameBytes(got[q].output, expected[q].output)) << q;
+    }
+
+    // The byte-copy candidate scores exactly zero, once per picked
+    // member, and the shadow adds no incumbent kernel work.
+    const Server::Stats stats = server.stats();
+    const Server::Stats base = plain.stats();
+    EXPECT_EQ(stats.canaryShadows, selected);
+    EXPECT_EQ(stats.canaryCleanStreak, selected);
+    EXPECT_EQ(stats.canaryDivergenceNano.count(), selected);
+    EXPECT_EQ(stats.canaryDivergenceNano.max(), 0u);
+    EXPECT_EQ(stats.canaryLastDivergence, 0.0);
+    EXPECT_EQ(stats.canaryQuarantines, 0u);
+    // One candidate run per group with a pick, however many it has.
+    EXPECT_EQ(stats.shadowLatencyNs.count(), shadowedGroups);
+    EXPECT_EQ(stats.groups, 3u);
+    EXPECT_EQ(stats.kernelBatches, base.kernelBatches);
+    EXPECT_EQ(stats.kernelBatches, 6u);  // 3 groups x ceil(6 / 4)
+    EXPECT_EQ(stats.scratchResizes, base.scratchResizes);
+    EXPECT_EQ(stats.rows, base.rows);
+}
+
+TEST_F(CanaryGateTest, CoalescedPackedShadowStopsAtFirstDivergentMember)
+{
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    const std::string cand = path("blank.ckpt");
+    rbm::saveCheckpoint(makeCkpt(blankRbm(6), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+
+    const auto live = packedCorpus(6, 3, 6);
+    ServerConfig off;
+    off.maxBatchRows = 4;
+    Server plain(registry, off);
+    const auto expected = plain.serve(live);
+
+    ServerConfig config = off;
+    config.canary.model = "m";
+    config.canary.fraction = 1.0;
+    config.canary.maxDivergence = 0.05;
+    config.canary.quarantineMinMs = 60000;  // stay quarantined
+    Server server(registry, config);
+    const auto got = server.serve(live);
+    for (std::size_t q = 0; q < live.size(); ++q) {
+        ASSERT_TRUE(got[q].status.ok()) << q;
+        EXPECT_TRUE(sameBytes(got[q].output, expected[q].output)) << q;
+    }
+
+    // Both members of the first group ran through the candidate, but
+    // the first one breached, so scoring stopped there; the quarantine
+    // then kept the later groups from shadowing.
+    const Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.canaryShadows, 1u);
+    EXPECT_EQ(stats.canaryDivergenceBreaches, 1u);
+    EXPECT_EQ(stats.canaryQuarantines, 1u);
+    EXPECT_EQ(stats.canaryCleanStreak, 0u);
+    EXPECT_EQ(stats.canaryState, 2u);
+    EXPECT_GT(stats.canaryLastDivergence, 0.05);
+    EXPECT_EQ(stats.kernelBatches, plain.stats().kernelBatches);
+}
+
+TEST_F(CanaryGateTest, SlowCandidateNeverPromotesBeforeTheWindowFills)
+{
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    const std::string cand = path("cand.ckpt");
+    rbm::saveCheckpoint(makeCkpt(copyRbm(6), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+
+    ServerConfig config;
+    config.canary.model = "m";
+    config.canary.fraction = 1.0;
+    config.canary.minShadows = 4;
+    config.canary.maxLatencyMultiple = 1e-9;  // every shadow is slow
+    Server server(registry, config);
+
+    // One flush, one group: eight clean shadows fill the streak, but
+    // the window holds one ratio -- no verdict, and no promote either.
+    const auto live = corpus(11, 6);
+    server.serve({live.begin(), live.begin() + 8});
+    Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.groups, 1u);
+    EXPECT_EQ(stats.canaryCleanStreak, 8u);
+    EXPECT_EQ(stats.canaryPromotions, 0u);
+    EXPECT_EQ(stats.canaryLatencyBreaches, 0u);
+    EXPECT_EQ(stats.canaryState, 1u);  // still shadowing
+
+    // Three more groups fill the window, and its median breaches.
+    for (std::size_t q = 8; q < live.size(); ++q)
+        server.serve({live[q]});
+    stats = server.stats();
+    EXPECT_EQ(stats.canaryPromotions, 0u);
+    EXPECT_EQ(stats.canaryLatencyBreaches, 1u);
+    EXPECT_EQ(stats.canaryQuarantines, 1u);
+}
+
+TEST_F(CanaryGateTest, WiderCandidateSharingScratchLeavesBytesAlone)
+{
+    // The shadow reuses the incumbent's scratch; a candidate with a
+    // wider hidden layer reshapes it between incumbent runs, and the
+    // served bytes must not notice.
+    ModelRegistry registry(dir_);
+    registry.put("m", makeCkpt(copyRbm(6), 1));
+    rbm::Rbm wide(6, 11);
+    util::Rng rng(3);
+    wide.initRandom(rng, 0.5f);
+    const std::string cand = path("wide.ckpt");
+    rbm::saveCheckpoint(makeCkpt(std::move(wide), 2), cand);
+    ASSERT_TRUE(registry.stageCandidate("m", cand).ok());
+
+    auto live = packedCorpus(6, 3, 6);
+    for (Request &req : corpus(6, 6))
+        live.push_back(std::move(req));
+    ServerConfig off;
+    off.maxBatchRows = 4;
+    Server plain(registry, off);
+    const auto expected = plain.serve(live);
+
+    ServerConfig config = off;
+    config.canary.model = "m";
+    config.canary.fraction = 1.0;
+    config.canary.maxDivergence = 1e9;  // never quarantine
+    config.canary.autoPromote = false;
+    Server server(registry, config);
+    const auto got = server.serve(live);
+    for (std::size_t q = 0; q < live.size(); ++q) {
+        ASSERT_TRUE(got[q].status.ok()) << q;
+        EXPECT_TRUE(sameBytes(got[q].output, expected[q].output)) << q;
+    }
+    EXPECT_EQ(server.stats().canaryShadows, live.size());
+    EXPECT_EQ(server.stats().canaryQuarantines, 0u);
 }
 
 // ----------------------------------------------- staging validation

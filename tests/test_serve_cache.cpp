@@ -5,7 +5,7 @@
  * the LRU must respect its byte budget, and the CRC-64 stamp keying
  * must invalidate across checkpoint overwrite, direct save, and
  * canary-gated promote -- with zero stale hits.  Also covers the
- * packed zero-copy gather (byte-equal to the float gather) and the
+ * packed zero-copy gather (byte-equal to the float model ops) and the
  * word-level copyBits primitive underneath it.
  */
 
@@ -437,34 +437,48 @@ TEST_F(ServeCacheTest, DuplicateRequestsInOneFlushStayConsistent)
 
 // -------------------------------------- packed gather & group slots
 
-TEST_F(ServeCacheTest, PackedAndLegacyGatherProduceIdenticalBytes)
+TEST_F(ServeCacheTest, PackedGatherMatchesDirectFloatOps)
 {
     ModelRegistry registry(dir_);
     putRbm(registry, "m", 12);
-
-    ServerConfig packed;
-    packed.packedGather = true;
-    ServerConfig legacy;
-    legacy.packedGather = false;
-    Server packedServer(registry, packed);
-    Server legacyServer(registry, legacy);
+    const auto model = registry.get("m");
+    Server server(registry);
 
     for (const Op op : {Op::Featurize, Op::Reconstruct}) {
-        // Mixed-size coalesced batch, including a non-binary request
-        // that forces the float fallback inside the packed server.
+        // Mixed-size coalesced batch on the packed plane, then the
+        // same batch with a non-binary request that forces the float
+        // path; one request arrives wire-packed.
         Request binA = makeRequest("m", op, 4, 13);
         Request binB = makeRequest("m", op, 7, 14);
-        Request fuzzy = makeRequest("m", op, 2, 15);
+        Request wire = makeRequest("m", op, 3, 15);
+        wire.packed = true;
+        wire.packedInput.reset(wire.input.rows(), kDim);
+        for (std::size_t r = 0; r < wire.input.rows(); ++r)
+            wire.packedInput.packRowFrom(r, wire.input.row(r));
+        Request fuzzy = makeRequest("m", op, 2, 16);
         fuzzy.input(1, 2) = 0.5f;
-        auto fromPacked =
-            packedServer.serve({binA, binB, fuzzy});
-        auto fromLegacy =
-            legacyServer.serve({binA, binB, fuzzy});
-        for (std::size_t i = 0; i < fromPacked.size(); ++i) {
-            ASSERT_TRUE(fromPacked[i].status.ok());
-            EXPECT_TRUE(sameBytes(fromPacked[i].output,
-                                  fromLegacy[i].output))
-                << engine::opName(op) << " request " << i;
+        for (const auto &batch :
+             {std::vector<Request>{binA, binB, wire},
+              std::vector<Request>{binA, binB, wire, fuzzy}}) {
+            const auto served = server.serve(batch);
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                // The reference: the float model op on the request's
+                // own float rows and per-row streams.
+                const Request &req = batch[i];
+                std::vector<Rng> rngs;
+                for (std::size_t r = 0; r < req.input.rows(); ++r)
+                    rngs.push_back(Rng::stream(req.seed, r));
+                linalg::Matrix expected;
+                if (op == Op::Featurize)
+                    model->featurizeRows(req.input, expected);
+                else
+                    model->reconstructRows(req.input, rngs.data(),
+                                           expected);
+                ASSERT_TRUE(served[i].status.ok());
+                EXPECT_TRUE(sameBytes(served[i].output, expected))
+                    << engine::opName(op) << " request " << i << " of "
+                    << batch.size();
+            }
         }
     }
 }
